@@ -8,16 +8,19 @@ Vectorized progressive filling ("water-filling"). Each iteration either
 * saturates the current bottleneck link(s), fixing their flows at the
   bottleneck share.
 
-Each iteration removes at least one link or the whole capped set, so the
-loop runs O(links) times; each iteration is dense numpy over an L×F
-incidence matrix (see the HPC guide: vectorize the hot loop, profile before
-going lower-level — this routine is the simulator's hot spot).
+Each iteration fixes at least one flow, so the loop runs at most once per
+column. The solver runs over a sparse (CSC) incidence: for each column, the
+local indices of the links it crosses. Per-link active counts are computed
+once per solve and decremented as columns are fixed; each round is a
+handful of numpy calls on small arrays, so the cost is per-call overhead,
+not arithmetic (see the HPC guide: profile before going lower-level — this
+routine is the simulator's hot spot).
 
 Two entry points share the solver core:
 
-* :func:`max_min_rates` — stateless, rebuilds the incidence matrix per
-  call. Fine for one-shot questions and property tests.
-* :class:`FairshareState` — persistent incidence state for the flow
+* :func:`max_min_rates` — stateless, builds the incidence per call. Fine
+  for one-shot questions and property tests.
+* :class:`FairshareState` — persistent per-column path arrays for the flow
   engine's event loop: columns are added/removed as flows come and go
   (amortized growth, freed columns reused), the link-sharing graph is
   partitioned into connected components with a union-find, and
@@ -42,19 +45,26 @@ division back is ever needed.
 Exactness argument (why weighted class-space solving is bit-identical to
 solving one column per member flow):
 
-* per-link active counts are sums of integer weights — exact in IEEE
-  doubles under any summation order, so class space and flow space
-  compute the same ``counts``;
+* per-link active counts are sums (and differences) of integer weights —
+  exact in IEEE doubles under any evaluation order, so class space and
+  flow space compute the same ``counts``;
 * fair shares (``remaining / counts``), per-flow share minima, and every
   cap comparison are single operations on identical inputs;
 * the only genuine float *accumulation* is draining fixed flows from
-  ``remaining``. It is computed per link as the **exactly rounded** sum
-  of the round's fixed demand (``math.fsum``), with each class's demand
-  ``w * r`` contributed as its power-of-two decomposition
-  ``sum(r * 2^i for set bits i of w)`` — every term exact, so flow space
-  (``w`` copies of ``r``) and class space feed fsum term multisets with
-  the same exact value, and exactly rounded sums of equal reals are
-  bit-equal.
+  ``remaining``. Per link it is the **exactly rounded** value of
+  ``remaining - sum(K_r * r)``, where ``r`` runs over the round's distinct
+  fixed rates and ``K_r`` is the integer member weight at rate ``r`` on
+  that link. For integer ``K < 2**26``, Dekker's product (``r`` split by
+  Veltkamp into two 26-bit halves, ``K`` its own high half) gives
+  ``K * r == p + e`` exactly with ``p = fl(K * r)``. So a link drained at
+  one rate takes ``remaining - p`` when ``e == 0`` (one correctly rounded
+  subtraction) and ``math.fsum((remaining, -p, -e))`` otherwise; a link
+  drained at several rates takes one ``fsum`` over all their ``(p, e)``
+  terms. Flow space (``K`` members of rate ``r``, one term each) sums the
+  same real, and exactly rounded sums of equal reals are bit-equal. The
+  ``K < 2**26`` bound holds because a component's total weight is kept
+  below :data:`WEIGHT_LIMIT` (``add_flow``/``set_weight`` raise
+  ``ValueError`` otherwise).
 
 The same argument makes the result independent of how the union-find
 happens to have coarsened components: per-link quantities only ever see
@@ -74,171 +84,151 @@ from repro.sim.profile import PROFILE
 #: Relative tolerance when comparing rates.
 _REL_EPS = 1e-9
 
+#: A component's total member weight stays below this, so every per-link
+#: integer weight ``K`` has at most 26 significant bits and Dekker's
+#: product ``K * r`` is exact (module docstring).
+WEIGHT_LIMIT = 1 << 26
 
-def _pow2_terms(w: int) -> Tuple[float, ...]:
-    """Power-of-two decomposition of integer ``w`` as exact float factors."""
-    out = []
-    while w:
-        low = w & -w
-        out.append(float(low))
-        w -= low
-    return tuple(out)
+#: Veltkamp's splitter for doubles: ``2**27 + 1``.
+_SPLIT = 134217729.0
+
+
+def _two_product(k, r):
+    """``(p, e)`` with ``p + e == k * r`` exactly, for integers ``0 <= k < 2**26``.
+
+    Dekker's product with ``k`` as its own high half (it has at most 26
+    significant bits) and ``r`` split by Veltkamp. Works elementwise on
+    floats and arrays alike.
+    """
+    c = r * _SPLIT
+    hi = c - (c - r)
+    p = k * r
+    return p, (k * hi - p) + k * (r - hi)
 
 
 def _exact_drain(
     remaining: np.ndarray,
-    fixed_cols: np.ndarray,
+    counts: np.ndarray,
+    fixed: np.ndarray,
     rates: np.ndarray,
     weights: np.ndarray,
     flows_cat: np.ndarray,
     links_cat: np.ndarray,
 ) -> None:
-    """Subtract the newly fixed columns' demand from ``remaining``.
+    """Drain the columns in mask ``fixed`` from ``remaining`` and ``counts``.
 
-    Per link the update is the exactly rounded (``math.fsum``) value of
-    ``remaining[l] - sum(w_c * r_c)`` over the round's fixed columns
-    crossing ``l``, with each ``w_c * r_c`` expanded into exact
-    power-of-two terms — see the module docstring's exactness argument.
-    Clamped at zero like the allocation loop always has.
-
-    Vectorized by weight bit: set bit ``b`` of column ``c`` contributes
-    one ``(link, r_c * 2^b)`` entry per link it crosses. A link receiving
-    a single entry is updated with plain IEEE subtraction — exactly
-    rounded by definition, so bit-equal to the fsum of the same two
-    terms (and to flow space, where ``2^b`` equal members sum exactly).
-    Only links receiving multiple entries pay for ``math.fsum``.
+    Per link the new ``remaining`` is the exactly rounded value of
+    ``remaining[l] - sum(K_r * r)`` over the distinct rates ``r`` of the
+    fixed columns, ``K_r`` being their integer member weight on ``l``
+    (module docstring), clamped at zero. ``counts`` loses the fixed
+    weight, exactly. ``flows_cat`` and ``links_cat`` are the CSC
+    incidence: entry ``i`` says column ``flows_cat[i]`` crosses local link
+    ``links_cat[i]``. Links no fixed column crosses see ``K = 0``, so
+    ``p = e = 0`` and keep their value.
     """
-    if not fixed_cols.size:
-        return
-    w_fixed = weights[fixed_cols].astype(np.int64)
-    maxw = int(w_fixed.max())
-    mask = np.zeros(weights.shape[0], dtype=bool)
-    links_parts: List[np.ndarray] = []
-    vals_parts: List[np.ndarray] = []
-    bit = 1
-    while bit <= maxw:
-        cols_b = fixed_cols if maxw == 1 else fixed_cols[(w_fixed & bit) != 0]
-        if cols_b.size:
-            mask[:] = False
-            mask[cols_b] = True
-            sel = mask[flows_cat]
-            links_parts.append(links_cat[sel])
-            vals_parts.append(rates[flows_cat[sel]] * float(bit))
-        bit <<= 1
-    if len(links_parts) == 1:
-        links_e, vals_e = links_parts[0], vals_parts[0]
+    nlinks = remaining.shape[0]
+    wf = np.where(fixed, weights, 0.0)[flows_cat]
+    fixed_rates = rates[fixed]
+    r = fixed_rates[0]
+    if (fixed_rates == r).all():
+        K = np.bincount(links_cat, wf, nlinks)
+        p, e = _two_product(K, float(r))
+        P, E = p[None], e[None]
+        slow = e.nonzero()[0]
     else:
-        links_e = np.concatenate(links_parts)
-        vals_e = np.concatenate(vals_parts)
-    if not links_e.size:
-        return
-    counts = np.bincount(links_e, minlength=remaining.shape[0])
-    is_multi = counts[links_e] > 1
-    if is_multi.any():
-        order = np.argsort(links_e[is_multi], kind="stable")
-        ml = links_e[is_multi][order]
-        mv = (-vals_e[is_multi][order]).tolist()
-        seg = np.flatnonzero(np.diff(ml)) + 1
-        seg_starts = np.concatenate(([0], seg))
-        seg_ends = np.concatenate((seg, [ml.shape[0]]))
-        for link, a, b in zip(ml[seg_starts].tolist(),
-                              seg_starts.tolist(), seg_ends.tolist()):
-            acc = math.fsum([remaining[link], *mv[a:b]])
-            remaining[link] = acc if acc > 0.0 else 0.0
-        single = ~is_multi
-        if not single.any():
-            return
-        links_e, vals_e = links_e[single], vals_e[single]
-    rem = remaining[links_e] - vals_e
-    remaining[links_e] = np.where(rem > 0.0, rem, 0.0)
+        # Rare: one row of per-link weights per distinct rate.
+        vals, inv = np.unique(fixed_rates, return_inverse=True)
+        row = np.zeros(rates.shape[0], dtype=np.intp)
+        row[fixed] = inv
+        Ks = np.bincount(row[flows_cat] * nlinks + links_cat, wf, vals.size * nlinks)
+        Ks = Ks.reshape(vals.size, nlinks)
+        K = Ks.sum(axis=0)
+        P, E = _two_product(Ks, vals[:, None])
+        p, e = P.sum(axis=0), E.sum(axis=0)  # exact where one rate hits
+        slow = np.flatnonzero((e != 0.0) | (np.count_nonzero(Ks, axis=0) > 1))
+    counts -= K
+    new = remaining - p
+    if slow.size:
+        new[slow] = [
+            math.fsum((a, *ps, *es))
+            for a, ps, es in zip(
+                remaining[slow].tolist(),
+                (-P[:, slow]).T.tolist(),
+                (-E[:, slow]).T.tolist(),
+            )
+        ]
+    np.maximum(new, 0.0, out=remaining)
 
 
 def _water_fill(
-    M: np.ndarray,
-    Mf: np.ndarray,
-    caps: np.ndarray,
+    remaining: np.ndarray,
     fcaps: np.ndarray,
-    rates: np.ndarray,
-    unfixed: np.ndarray,
-    weights: Optional[np.ndarray] = None,
-) -> None:
-    """Progressive filling over incidence ``M``; writes ``rates`` in place.
+    weights: np.ndarray,
+    links_cat: np.ndarray,
+    lens: np.ndarray,
+) -> np.ndarray:
+    """Progressive filling over a CSC incidence; returns per-column rates.
 
-    ``M`` is the L×F bool incidence matrix, ``Mf`` its float view (bool @
-    bool would be a logical OR, not a count). Only flows in ``unfixed``
-    participate; columns outside it must already hold their final rate 0
-    contribution (pathless flows never enter here). ``weights`` holds the
-    integer member multiplicity per column (``None`` = all ones); the
-    solved rate of a weight-``w`` column is the per-member rate.
+    ``links_cat`` lists, column after column, the local link index of each
+    link a column crosses — ``lens[c] >= 1`` entries for column ``c``.
+    ``remaining`` holds those local links' capacities and is drained in
+    place. ``weights`` holds the integer member multiplicity per column;
+    the solved rate of a weight-``w`` column is the per-member rate.
 
-    Bit-identity note: the per-flow fair share is a *min* over the links
-    of a path and the per-link active count is a sum of integer weights —
-    both are exact in IEEE floats under any evaluation order, so the
-    sparse gather/``reduceat``/``bincount`` formulation below produces
-    the same bits as the dense formulation, and class space the same bits
-    as flow space. The ``remaining`` drain is the one genuine float
-    accumulation; it goes through :func:`_exact_drain` (exactly rounded
-    per link), which the module docstring argues is multiplicity- and
-    association-independent.
+    Bit-identity: share minima and integer-weight counts are exact in any
+    evaluation order; the ``remaining`` drain, the one genuine float
+    accumulation, is exactly rounded per link (:func:`_exact_drain`).
     """
-    nlinks, nflows = M.shape
-    remaining = caps.copy()
-    if weights is None:
-        weights = np.ones(nflows)
-
-    # CSC view: for each flow (in column order), the link rows it crosses.
-    flows_cat, links_cat = np.nonzero(M.T)
-    per_flow = np.bincount(flows_cat, minlength=nflows)
-    starts = np.zeros(nflows, dtype=np.intp)
-    if nflows:
-        np.cumsum(per_flow[:-1], out=starts[1:])
-    sparse = bool(nflows) and bool(per_flow.all())  # reduceat needs >=1 link/flow
-
-    # Bound: every round fixes at least one flow (either the capped set, or
-    # the flows of a newly saturated bottleneck link), so nflows + nlinks
-    # rounds always suffice; the +2 covers the empty-set early exits.
+    ncols = fcaps.shape[0]
+    flows_cat = np.repeat(np.arange(ncols), lens)
+    starts = np.cumsum(lens) - lens
+    # Row j holds each column's j-th link, repeating its last link on
+    # short paths (a repeat cannot move a min): one gather and one
+    # contiguous min per round give every column's fair share.
+    pad = links_cat[starts + np.minimum(np.arange(lens.max())[:, None], lens - 1)]
+    counts = np.bincount(links_cat, weights[flows_cat], remaining.shape[0])
+    rates = np.zeros(ncols)
+    unfixed = np.ones(ncols, dtype=bool)
+    slack = 1 + _REL_EPS
     with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(nflows + nlinks + 2):
+        # Every round fixes at least one column: the capped set, or the
+        # columns at the minimum share.
+        for _ in range(ncols):
+            # Links whose columns are all fixed see x/0; only columns still
+            # unfixed (whose links all have counts > 0) are read below.
+            shares = (remaining / counts)[pad].min(axis=0)
+            fixed = unfixed & (fcaps <= shares * slack)
+            if fixed.any():
+                rates[fixed] = fcaps[fixed]
+            else:
+                m = shares[unfixed].min()
+                fixed = unfixed & (shares <= m * slack)
+                rates[fixed] = np.minimum(shares[fixed], fcaps[fixed])
+            unfixed ^= fixed
+            # Skip the drain when this round fixed the last columns:
+            # remaining is local and never read again.
             if not unfixed.any():
-                break
-            if sparse:
-                live_entries = unfixed[flows_cat]
-                counts = np.bincount(
-                    links_cat[live_entries],
-                    weights=weights[flows_cat[live_entries]],
-                    minlength=nlinks,
-                )
-            else:
-                counts = Mf @ (unfixed * weights)  # active members per link
-            share = np.where(counts > 0, remaining / np.maximum(counts, 1), np.inf)
-            # Per-flow fair share: min share over the links of its path.
-            if sparse:
-                shares_per_flow = np.minimum.reduceat(share[links_cat], starts)
-            else:
-                shares_per_flow = np.where(M, share[:, None], np.inf).min(axis=0)
+                return rates
+            _exact_drain(remaining, counts, fixed, rates, weights,
+                         flows_cat, links_cat)
+    raise RuntimeError("progressive filling failed to converge")  # pragma: no cover
 
-            capped = unfixed & (fcaps <= shares_per_flow * (1 + _REL_EPS))
-            if capped.any():
-                rates[capped] = fcaps[capped]
-                unfixed &= ~capped
-                # Skip the drain when this round fixed the last columns:
-                # remaining is local and never read again, so the skip
-                # cannot move a bit of any rate.
-                if unfixed.any():
-                    _exact_drain(remaining, np.nonzero(capped)[0], rates,
-                                 weights, flows_cat, links_cat)
-                continue
 
-            live = shares_per_flow[unfixed]
-            m = live.min()
-            newly = unfixed & (shares_per_flow <= m * (1 + _REL_EPS))
-            rates[newly] = np.minimum(shares_per_flow[newly], fcaps[newly])
-            unfixed &= ~newly
-            if unfixed.any():
-                _exact_drain(remaining, np.nonzero(newly)[0], rates,
-                             weights, flows_cat, links_cat)
-        else:  # pragma: no cover - loop bound is a proof, not a code path
-            raise RuntimeError("progressive filling failed to converge")
+def _solve_paths(
+    caps: np.ndarray,
+    paths: List[np.ndarray],
+    lens: np.ndarray,
+    fcaps: np.ndarray,
+    weights: np.ndarray,
+) -> np.ndarray:
+    """Water-fill columns with non-empty link-id ``paths`` over ``caps``."""
+    cat = np.concatenate(paths)
+    # Local link ids in ascending global order, by a prefix sum over a
+    # bitmap of the links used: O(links + entries), no sort.
+    used = np.zeros(caps.shape[0], dtype=np.intp)
+    used[cat] = 1
+    local = np.cumsum(used) - 1
+    return _water_fill(caps[used.nonzero()[0]], fcaps, weights, local[cat], lens)
 
 
 def max_min_rates(
@@ -262,7 +252,8 @@ def max_min_rates(
     flow_weights:
         Optional member multiplicity per entry (route-class aggregation):
         a weight-``w`` entry stands for ``w`` identical flows and its
-        returned rate is the per-member rate. Default all ones.
+        returned rate is the per-member rate. Default all ones; the total
+        must stay below :data:`WEIGHT_LIMIT`.
 
     Returns
     -------
@@ -275,7 +266,6 @@ def max_min_rates(
     """
     nflows = len(flow_links)
     caps = np.asarray(link_caps, dtype=float)
-    nlinks = caps.shape[0]
     fcaps = np.asarray(flow_caps, dtype=float)
     if fcaps.shape[0] != nflows:
         raise ValueError("flow_caps length must match flow_links")
@@ -291,23 +281,23 @@ def max_min_rates(
             raise ValueError("flow_weights length must match flow_links")
         if np.any(weights < 1) or np.any(weights != np.floor(weights)):
             raise ValueError("flow weights must be positive integers")
+    if weights.sum() >= WEIGHT_LIMIT:
+        raise ValueError(f"total flow weight must stay below {WEIGHT_LIMIT}")
 
     rates = np.zeros(nflows)
     if nflows == 0:
         return rates
-
-    # Incidence matrix M[l, f] = flow f crosses link l.
-    M = np.zeros((nlinks, nflows), dtype=bool)
-    for f, path in enumerate(flow_links):
-        for l in path:
-            M[l, f] = True
-
-    pathless = ~M.any(axis=0)
+    # A link listed twice on one path is crossed once.
+    paths = [np.array(list(dict.fromkeys(p)), dtype=np.intp) for p in flow_links]
+    lens = np.fromiter(map(len, paths), dtype=np.intp, count=nflows)
+    pathless = lens == 0
     if np.any(pathless & ~np.isfinite(fcaps)):
         raise ValueError("a flow with an empty path must have a finite cap")
     rates[pathless] = fcaps[pathless]
-
-    _water_fill(M, M.astype(np.float64), caps, fcaps, rates, ~pathless, weights)
+    on = np.flatnonzero(~pathless)
+    if on.size:
+        rates[on] = _solve_paths(caps, [paths[f] for f in on.tolist()],
+                                 lens[on], fcaps[on], weights[on])
     return rates
 
 
@@ -336,13 +326,14 @@ def link_utilization(
 
 
 class FairshareState:
-    """Persistent incidence/cap arrays + component-partitioned re-solve.
+    """Persistent per-column paths/caps + component-partitioned re-solve.
 
-    Owns the L×C incidence matrix the solver runs over, where C is a
-    column *capacity* (doubled on demand). A flow occupies one column from
-    :meth:`add_flow` until :meth:`remove_flow`; freed columns go on a free
-    list and are reused LIFO, so the matrix is built once and patched per
-    event instead of rebuilt per solve.
+    Each column holds its flow's path as an ``intp`` array of link ids,
+    beside per-column cap/rate/weight arrays whose *capacity* doubles on
+    demand. A flow occupies one column from :meth:`add_flow` until
+    :meth:`remove_flow`; freed columns go on a free list and are reused
+    LIFO. A solve builds its component's sparse incidence from the path
+    arrays of the component's columns.
 
     Links are partitioned by a union-find into connected components of the
     link-sharing graph (two links are connected when some active flow
@@ -364,12 +355,12 @@ class FairshareState:
         self._caps = caps
         self._nlinks = caps.shape[0]
         cap = max(int(capacity), 1)
-        self._M = np.zeros((self._nlinks, cap), dtype=bool)
         self._fcaps = np.zeros(cap)
         self._rates = np.zeros(cap)
         self._weights = np.zeros(cap)
+        self._lens = np.zeros(cap, dtype=np.intp)
         self._active = np.zeros(cap, dtype=bool)
-        self._paths: List[Optional[List[int]]] = [None] * cap
+        self._paths: List[Optional[np.ndarray]] = [None] * cap
         # Popped back-first so fresh columns are handed out in index order.
         self._free: List[int] = list(range(cap - 1, -1, -1))
         self.nactive = 0
@@ -378,6 +369,8 @@ class FairshareState:
         self._size: List[int] = [1] * self._nlinks
         #: root link id -> set of active columns in that component.
         self._comp_cols: Dict[int, Set[int]] = {}
+        #: root link id -> total member weight of its columns.
+        self._comp_weight: Dict[int, int] = {}
         self._dirty: Set[int] = set()
         #: columns rated outside solve() (pathless flows), reported once.
         self._fresh: List[int] = []
@@ -412,34 +405,38 @@ class FairshareState:
         cols = self._comp_cols.pop(b, None)
         if cols:
             self._comp_cols.setdefault(a, set()).update(cols)
+        w = self._comp_weight.pop(b, 0)
+        if w:
+            self._comp_weight[a] = self._comp_weight.get(a, 0) + w
         if b in self._dirty:
             self._dirty.discard(b)
             self._dirty.add(a)
         return a
 
+    def _join(self, path: List[int], col: int, weight: int) -> int:
+        """Union ``path``'s links, in path order, and file ``col`` there."""
+        root = self._find(path[0])
+        for l in path[1:]:
+            root = self._union(root, self._find(l))
+        self._comp_cols.setdefault(root, set()).add(col)
+        self._comp_weight[root] = self._comp_weight.get(root, 0) + weight
+        return root
+
     # -- capacity maintenance -------------------------------------------------
 
     def _grow_cols(self) -> None:
-        old = self._M.shape[1]
+        old = self._fcaps.shape[0]
         new = max(2 * old, 1)
         PROFILE.count("fairshare.matrix_growths")
-        M = np.zeros((self._nlinks, new), dtype=bool)
-        M[:, :old] = self._M
-        self._M = M
-        for name in ("_fcaps", "_rates", "_weights"):
-            arr = np.zeros(new)
-            arr[:old] = getattr(self, name)
-            setattr(self, name, arr)
-        active = np.zeros(new, dtype=bool)
-        active[:old] = self._active
-        self._active = active
+        for name in ("_fcaps", "_rates", "_weights", "_lens", "_active"):
+            arr = getattr(self, name)
+            grown = np.zeros(new, dtype=arr.dtype)
+            grown[:old] = arr
+            setattr(self, name, grown)
         self._paths.extend([None] * (new - old))
         self._free.extend(range(new - 1, old - 1, -1))
 
     def _grow_links(self, nlinks: int) -> None:
-        M = np.zeros((nlinks, self._M.shape[1]), dtype=bool)
-        M[: self._nlinks] = self._M
-        self._M = M
         self._parent.extend(range(self._nlinks, nlinks))
         self._size.extend([1] * (nlinks - self._nlinks))
         self._nlinks = nlinks
@@ -456,16 +453,17 @@ class FairshareState:
             self._grow_links(caps.shape[0])
         elif caps.shape[0] < self._nlinks:
             raise ValueError("links cannot be removed from a FairshareState")
-        if self._caps.shape[0] == caps.shape[0] and np.array_equal(caps, self._caps):
+        old = self._caps
+        if old.shape[0] == caps.shape[0] and np.array_equal(caps, old):
             return
         if np.any(caps <= 0):
             raise ValueError("link capacities must be positive")
-        old = self._caps
-        for l in range(caps.shape[0]):
-            if l >= old.shape[0] or caps[l] != old[l]:
-                root = self._find(l)
-                if self._comp_cols.get(root):
-                    self._dirty.add(root)
+        changed = np.flatnonzero(caps[: old.shape[0]] != old).tolist()
+        changed.extend(range(old.shape[0], caps.shape[0]))
+        for l in changed:
+            root = self._find(l)
+            if self._comp_cols.get(root):
+                self._dirty.add(root)
         self._caps = caps.copy()
 
     # -- flow membership --------------------------------------------------------
@@ -476,36 +474,38 @@ class FairshareState:
         ``weight`` is the route-class member multiplicity: a weight-``w``
         column is solved as ``w`` identical flows, and its rate is the
         per-member rate. Use :meth:`set_weight` for join/leave updates.
+        The component's total weight must stay below :data:`WEIGHT_LIMIT`.
         """
         if fcap <= 0:
             raise ValueError("flow caps must be positive")
         if weight < 1 or weight != int(weight):
             raise ValueError("flow weight must be a positive integer")
+        weight = int(weight)
+        path = list(dict.fromkeys(path))  # a link listed twice is crossed once
+        if not path and not np.isfinite(fcap):
+            raise ValueError("a flow with an empty path must have a finite cap")
+        if path:
+            # The network may have grown links since the last solve; links
+            # grow here, capacities arrive via set_link_caps.
+            need = max(path) + 1
+            if need > self._nlinks:
+                self._grow_links(need)
+        roots = {self._find(l) for l in path}
+        if weight + sum(self._comp_weight.get(r, 0) for r in roots) >= WEIGHT_LIMIT:
+            raise ValueError(f"component weight must stay below {WEIGHT_LIMIT}")
         if not self._free:
             self._grow_cols()
         col = self._free.pop()
         self._fcaps[col] = fcap
         self._rates[col] = 0.0
         self._weights[col] = float(weight)
+        self._lens[col] = len(path)
         self._active[col] = True
         self.nactive += 1
-        path = list(path)
-        self._paths[col] = path
+        self._paths[col] = np.array(path, dtype=np.intp)
         if path:
-            # The network may have grown links since the last solve; row
-            # growth happens here, capacities arrive via set_link_caps.
-            need = max(path) + 1
-            if need > self._nlinks:
-                self._grow_links(need)
-            self._M[path, col] = True
-            root = self._find(path[0])
-            for l in path[1:]:
-                root = self._union(root, self._find(l))
-            self._comp_cols.setdefault(root, set()).add(col)
-            self._dirty.add(root)
+            self._dirty.add(self._join(path, col, weight))
         else:
-            if not np.isfinite(fcap):
-                raise ValueError("a flow with an empty path must have a finite cap")
             # Pathless flows are their own trivial component: the rate is
             # the cap, now and forever — rated at the next solve(), no
             # water-filling needed.
@@ -517,22 +517,25 @@ class FairshareState:
         if not self._active[col]:
             raise ValueError(f"column {col} is not active")
         path = self._paths[col]
+        weight = int(self._weights[col])
         self._active[col] = False
         self._paths[col] = None
         self._rates[col] = 0.0
         self._fcaps[col] = 0.0
         self._weights[col] = 0.0
+        self._lens[col] = 0
         self.nactive -= 1
-        if path:
-            self._M[path, col] = False
-            root = self._find(path[0])
+        if path.size:
+            root = self._find(int(path[0]))
             cols = self._comp_cols.get(root)
             if cols is not None:
                 cols.discard(col)
+                self._comp_weight[root] -= weight
                 if cols:
                     self._dirty.add(root)
                 else:
                     del self._comp_cols[root]
+                    del self._comp_weight[root]
                     self._dirty.discard(root)
             self._removals += 1
         self._free.append(col)
@@ -542,25 +545,31 @@ class FairshareState:
 
         The column's component re-solves at the next :meth:`solve`. Weight
         0 parks the column: it stays registered (its links stay unioned,
-        so a later re-join is a pure weight bump with no matrix or
+        so a later re-join is a pure weight bump with no path or
         union-find churn) but is skipped by the solver entirely — a parked
         column costs nothing per solve. A parked column's links staying
         glued cannot move a bit: per-link arithmetic only ever sees a
-        link's own member flows (see the module docstring).
+        link's own member flows (see the module docstring). The
+        component's total weight must stay below :data:`WEIGHT_LIMIT`.
         """
         if not self._active[col]:
             raise ValueError(f"column {col} is not active")
         if weight < 0 or weight != int(weight):
             raise ValueError("flow weight must be a non-negative integer")
-        old = self._weights[col]
-        w = float(weight)
-        if w == old:
+        weight = int(weight)
+        old = int(self._weights[col])
+        if weight == old:
             return
-        self._weights[col] = w
-        self.weight_changes += 1
         path = self._paths[col]
-        if path:
-            self._dirty.add(self._find(path[0]))
+        root = self._find(int(path[0])) if path.size else None
+        total = self._comp_weight[root] if path.size else old
+        if total - old + weight >= WEIGHT_LIMIT:
+            raise ValueError(f"component weight must stay below {WEIGHT_LIMIT}")
+        self._weights[col] = float(weight)
+        self.weight_changes += 1
+        if root is not None:
+            self._comp_weight[root] = total - old + weight
+            self._dirty.add(root)
         # Pathless classes keep rate == fcap at any weight; nothing to do.
 
     def weight_of(self, col: int) -> int:
@@ -577,7 +586,7 @@ class FairshareState:
     @property
     def capacity(self) -> int:
         """Current column capacity (callers keeping parallel arrays)."""
-        return self._M.shape[1]
+        return self._fcaps.shape[0]
 
     # -- solving ---------------------------------------------------------------
 
@@ -588,19 +597,14 @@ class FairshareState:
         self._parent = list(range(self._nlinks))
         self._size = [1] * self._nlinks
         self._comp_cols = {}
+        self._comp_weight = {}
         self._dirty = set()
-        for col in np.nonzero(self._active)[0]:
-            path = self._paths[int(col)]
-            if not path:
-                continue
-            root = self._find(path[0])
-            for l in path[1:]:
-                root = self._union(root, self._find(l))
-            self._comp_cols.setdefault(root, set()).add(int(col))
-        for col in dirty_cols:
+        for col in np.flatnonzero(self._active).tolist():
             path = self._paths[col]
-            if path:
-                self._dirty.add(self._find(path[0]))
+            if path.size:
+                self._join(path.tolist(), col, int(self._weights[col]))
+        for col in dirty_cols:
+            self._dirty.add(self._find(int(self._paths[col][0])))
         self._removals = 0
 
     def solve(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -639,12 +643,7 @@ class FairshareState:
                 # constant is weakly monotone, so the min commutes with it
                 # and this produces the same bits as the general solver.
                 c = int(live_cols[0])
-                path = self._paths[c]
-                m = self._caps[path[0]]
-                for l in path[1:]:
-                    cl = self._caps[l]
-                    if cl < m:
-                        m = cl
+                m = self._caps[self._paths[c]].min()
                 w = self._weights[c]
                 if w != 1.0:
                     m = m / w
@@ -659,24 +658,13 @@ class FairshareState:
                     self._rates[c] = rate
                 continue
             cols = np.sort(live_cols)
-            sub = self._M[:, cols]
-            links = np.nonzero(sub.any(axis=1))[0]
-            subM = sub[links]
-            fcaps = self._fcaps[cols]
-            rates = np.zeros(cols.shape[0])
             self.solves += 1
             self.solved_rows += int(cols.shape[0])
             PROFILE.count("fairshare.solves")
             PROFILE.count("fairshare.solved_rows", cols.shape[0])
-            _water_fill(
-                subM,
-                subM.astype(np.float64),
-                self._caps[links],
-                fcaps,
-                rates,
-                np.ones(cols.shape[0], dtype=bool),
-                self._weights[cols],
-            )
+            paths = [self._paths[c] for c in cols.tolist()]
+            rates = _solve_paths(self._caps, paths, self._lens[cols],
+                                 self._fcaps[cols], self._weights[cols])
             diff = rates != self._rates[cols]
             if diff.any():
                 moved = cols[diff]
@@ -694,12 +682,23 @@ class FairshareState:
     def link_usage(self) -> np.ndarray:
         """Per-link allocated bytes/s under the current rates.
 
-        One dense matvec over the incidence state — the bottleneck-
-        attribution layer (``repro.sim.trace``) divides this by the
-        capacity vector to find which links are saturated at each rate
-        change. Only called when tracing is enabled.
+        Per link, the exactly rounded sum of ``weight * rate`` over the
+        columns crossing it (each product split exactly by
+        :func:`_two_product`), so the result does not depend on column
+        numbering or order. The bottleneck-attribution layer
+        (``repro.sim.trace``) divides this by the capacity vector to find
+        which links are saturated at each rate change. Only called when
+        tracing is enabled.
         """
-        return self._M @ (self._rates * self._active * self._weights)
+        terms: Dict[int, List[float]] = {}
+        for col in np.flatnonzero(self._weights).tolist():
+            pe = _two_product(float(self._weights[col]), float(self._rates[col]))
+            for l in self._paths[col].tolist():
+                terms.setdefault(l, []).extend(pe)
+        usage = np.zeros(self._nlinks)
+        for l, t in terms.items():
+            usage[l] = math.fsum(t)
+        return usage
 
     def class_stats(self) -> Tuple[int, int]:
         """(active solver columns, total member weight across them).
