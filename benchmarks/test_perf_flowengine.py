@@ -7,6 +7,11 @@ rate re-solve. The scenario is built so the link-sharing graph has four
 disjoint components (SDSC→NCSA, ANL→PSC, Caltech→SDSC, NCSA→ANL meshes) —
 an arrival in one mesh must not trigger a full re-solve of the others.
 
+``churn_small`` covers the other end: a few hosts behind one gateway and
+at most eight concurrent flows, so every re-solve is a component of a
+handful of columns — the size most solves in the file-system scenarios
+have, where per-solve overhead rather than arithmetic is the cost.
+
 Each bench appends its ops/s (flow completions per wall-clock second) to
 ``BENCH_flowengine.json`` in the repo root so successive PRs accumulate a
 perf trajectory. Run with::
@@ -102,6 +107,67 @@ def run_churn(
     }
 
 
+def small_topology(hosts: int = 6) -> Network:
+    """``hosts`` 1 GbE hosts behind one gateway with a WAN uplink to an origin."""
+    net = Network()
+    net.add_node("gw", kind="switch")
+    net.add_node("origin-sw", kind="switch")
+    net.add_link("gw", "origin-sw", Gbps(2), delay=0.005)
+    net.add_host("origin", "origin-sw", Gbps(10))
+    for h in range(hosts):
+        net.add_host(f"h{h}", "gw", Gbps(1))
+    return net
+
+
+def run_small_churn(nflows: int, hosts: int = 6, streams: int = 8) -> dict:
+    """``streams`` back-to-back transfer loops through one gateway.
+
+    Each stream starts its next transfer when the last one completes, so
+    at most ``streams`` flows are ever active and every arrival and
+    departure re-solves a component of at most ``streams`` columns.
+    Transfers alternate direction (reads from and writes to the origin)
+    and mix window-capped with link-limited flows.
+    """
+    sim_t0 = time.perf_counter()
+    from repro.sim import Simulation
+
+    sim = Simulation()
+    net = small_topology(hosts)
+    engine = FlowEngine(sim, net, default_tcp=TcpModel(window=MB(1)))
+    wide = TcpModel(window=MB(16))
+
+    def stream(sim, s):
+        for k in range(s, nflows, streams):
+            host = f"h{k % hosts}"
+            src, dst = ("origin", host) if k % 3 else (host, "origin")
+            tcp = wide if k % 4 == 0 else None
+            yield engine.transfer(src, dst, MB(1) * (1 + k % 5), tcp=tcp)
+
+    total_bytes = sum(MB(1) * (1 + k % 5) for k in range(nflows))
+    for s in range(streams):
+        sim.process(stream(sim, s))
+
+    peak = 0
+    t0 = time.perf_counter()
+    while sim.peek() != float("inf"):
+        sim.step()
+        peak = max(peak, engine.active_count)
+    elapsed = time.perf_counter() - t0
+
+    assert peak <= streams
+    assert engine.completed_flows == nflows
+    assert engine.bytes_moved == pytest.approx(total_bytes)
+    return {
+        "nflows": nflows,
+        "elapsed_s": elapsed,
+        "setup_s": t0 - sim_t0,
+        "ops_per_s": nflows / elapsed,
+        "peak_concurrent": peak,
+        "sim_seconds": sim.now,
+        "kernel_events": sim._seq,
+    }
+
+
 def _record(name: str, stats: dict) -> None:
     data = {}
     if RESULTS_PATH.exists():
@@ -119,12 +185,12 @@ def _record(name: str, stats: dict) -> None:
     RESULTS_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
-def _bench(benchmark, capsys, nflows: int, name: str) -> dict:
+def _bench(benchmark, capsys, nflows: int, name: str, run=run_churn) -> dict:
     PROFILE.reset()
     PROFILE.enable()
     try:
         stats = benchmark.pedantic(
-            run_churn, args=(nflows,), rounds=1, iterations=1, warmup_rounds=0
+            run, args=(nflows,), rounds=1, iterations=1, warmup_rounds=0
         )
     finally:
         PROFILE.disable()
@@ -158,3 +224,12 @@ def test_churn_5k(benchmark, capsys):
             f"incremental solver touched {solved} rows vs {full} for a "
             "full per-event re-solve — component partitioning regressed"
         )
+
+
+def test_churn_small(benchmark, capsys):
+    stats = _bench(benchmark, capsys, 5000, "churn_small", run=run_small_churn)
+    prof = stats["profile"]
+    # Every arrival and departure re-solves its (small) component.
+    assert prof.get("fairshare.solves", 0) + prof.get(
+        "fairshare.single_flow_solves", 0
+    ) > 5000

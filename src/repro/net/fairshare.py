@@ -1,6 +1,6 @@
 """Max-min fair bandwidth allocation with per-flow rate caps.
 
-Vectorized progressive filling ("water-filling"). Each iteration either
+Progressive filling ("water-filling"). Each iteration either
 
 * fixes every flow whose cap is at or below its current fair share on every
   link of its path (such a flow is cap-limited in the final allocation,
@@ -9,18 +9,32 @@ Vectorized progressive filling ("water-filling"). Each iteration either
   bottleneck share.
 
 Each iteration fixes at least one flow, so the loop runs at most once per
-column. The solver runs over a sparse (CSC) incidence: for each column, the
-local indices of the links it crosses. Per-link active counts are computed
-once per solve and decremented as columns are fixed; each round is a
-handful of numpy calls on small arrays, so the cost is per-call overhead,
-not arithmetic (see the HPC guide: profile before going lower-level — this
-routine is the simulator's hot spot).
+column. Per-link active counts are computed once per solve and decremented
+as columns are fixed.
 
-Two entry points share the solver core:
+Two cores run these rounds, and return the same bits:
+
+* :func:`_water_fill` (numpy) works on a sparse (CSC) incidence: for each
+  column, the local indices of the links it crosses. Each round is a
+  handful of numpy calls, so its cost is per-call overhead, not
+  arithmetic, and it pays off only on large components.
+* :func:`_water_fill_scalar` (plain Python) keeps per-link ``remaining``
+  and ``counts`` in dicts and visits only the links and columns in play.
+  It does the numpy core's double operations on the same operands, one at
+  a time (see "Exactness" below), so its rates are bit-identical.
+
+A component of at most :data:`SCALAR_MAX_COLS` registered columns goes to
+the scalar core, a larger one to numpy. The constant sits at the measured
+crossover: on every solve recorded from one episode of each file-system
+benchmark workload, the scalar core is 4-8x faster up to four live
+columns (where nearly all solves are), still ahead at 25-32, even at
+33-48 and behind beyond (docs/ARCHITECTURE.md §6 has the figures).
+
+Two entry points share the cores:
 
 * :func:`max_min_rates` — stateless, builds the incidence per call. Fine
   for one-shot questions and property tests.
-* :class:`FairshareState` — persistent per-column path arrays for the flow
+* :class:`FairshareState` — persistent per-column paths for the flow
   engine's event loop: columns are added/removed as flows come and go
   (amortized growth, freed columns reused), the link-sharing graph is
   partitioned into connected components with a union-find, and
@@ -66,6 +80,18 @@ solving one column per member flow):
   below :data:`WEIGHT_LIMIT` (``add_flow``/``set_weight`` raise
   ``ValueError`` otherwise).
 
+The scalar core is bit-identical to the numpy one by the same argument:
+per-link shares are the same single divisions, per-column minima and the
+two ``* slack`` comparisons are exact or single operations, counts are
+integer sums, and its drain takes the same exactly rounded per-link value
+(same ``_two_product`` split, ``remaining - p`` or ``fsum`` under the same
+conditions, the same clamp at zero). It skips links no fixed column
+crosses, where the numpy core subtracts ``0.0``. This assumes finite
+link capacities, as every :class:`~repro.net.topology.Link` has: an
+infinite link carrying an infinite-cap flow would make the numpy core
+subtract ``0 * inf`` (NaN) from every link, which the scalar core never
+computes.
+
 The same argument makes the result independent of how the union-find
 happens to have coarsened components: per-link quantities only ever see
 that link's own flows, so gluing unrelated groups into one solve cannot
@@ -75,6 +101,7 @@ move a bit.
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -88,6 +115,12 @@ _REL_EPS = 1e-9
 #: integer weight ``K`` has at most 26 significant bits and Dekker's
 #: product ``K * r`` is exact (module docstring).
 WEIGHT_LIMIT = 1 << 26
+
+#: Components of at most this many registered columns are water-filled by
+#: the scalar core (:func:`_water_fill_scalar`), larger ones by the numpy
+#: core (:func:`_water_fill`). Both give the same bits; this only picks the
+#: cheaper one. Set at the measured crossover (module docstring).
+SCALAR_MAX_COLS = 32
 
 #: Veltkamp's splitter for doubles: ``2**27 + 1``.
 _SPLIT = 134217729.0
@@ -133,7 +166,7 @@ def _exact_drain(
     if (fixed_rates == r).all():
         K = np.bincount(links_cat, wf, nlinks)
         p, e = _two_product(K, float(r))
-        P, E = p[None], e[None]
+        P = None  # one (p, e) pair per link
         slow = e.nonzero()[0]
     else:
         # Rare: one row of per-link weights per distinct rate.
@@ -148,7 +181,13 @@ def _exact_drain(
         slow = np.flatnonzero((e != 0.0) | (np.count_nonzero(Ks, axis=0) > 1))
     counts -= K
     new = remaining - p
-    if slow.size:
+    if slow.size and P is None:
+        new[slow] = [
+            math.fsum((a, -pl, -el))
+            for a, pl, el in zip(remaining[slow].tolist(), p[slow].tolist(),
+                                 e[slow].tolist())
+        ]
+    elif slow.size:
         new[slow] = [
             math.fsum((a, *ps, *es))
             for a, ps, es in zip(
@@ -201,9 +240,10 @@ def _water_fill(
             if fixed.any():
                 rates[fixed] = fcaps[fixed]
             else:
+                # No column is capped, so every fcap exceeds its share.
                 m = shares[unfixed].min()
                 fixed = unfixed & (shares <= m * slack)
-                rates[fixed] = np.minimum(shares[fixed], fcaps[fixed])
+                rates[fixed] = shares[fixed]
             unfixed ^= fixed
             # Skip the drain when this round fixed the last columns:
             # remaining is local and never read again.
@@ -214,15 +254,111 @@ def _water_fill(
     raise RuntimeError("progressive filling failed to converge")  # pragma: no cover
 
 
+def _exact_drain_scalar(
+    remaining: Dict[int, float],
+    counts: Dict[int, float],
+    fixed: List[int],
+    rates: List[float],
+    weights: List[float],
+    paths: List[Tuple[int, ...]],
+) -> None:
+    """Scalar twin of :func:`_exact_drain` over per-link dicts.
+
+    Same per-link value: the integer weight ``K_r`` at each distinct rate
+    ``r``, :func:`_two_product` for ``K_r * r = p + e``, ``remaining - p``
+    where one rate hits the link and ``e == 0``, one :func:`math.fsum`
+    over every term otherwise, and the clamp at zero. Links no fixed
+    column crosses are left alone (the numpy core subtracts ``0.0``).
+    """
+    per_link: Dict[int, Dict[float, float]] = {}
+    for c in fixed:
+        r, w = rates[c], weights[c]
+        for l in paths[c]:
+            ks = per_link.get(l)
+            if ks is None:
+                per_link[l] = {r: w}
+            else:
+                ks[r] = ks.get(r, 0.0) + w
+    for l, ks in per_link.items():
+        a = remaining[l]
+        if len(ks) == 1:
+            ((r, k),) = ks.items()
+            counts[l] -= k
+            p, e = _two_product(k, r)
+            new = a - p if e == 0.0 else math.fsum((a, -p, -e))
+        else:
+            terms = [a]
+            for r, k in ks.items():
+                counts[l] -= k
+                p, e = _two_product(k, r)
+                terms += (-p, -e)
+            new = math.fsum(terms)
+        # np.maximum(new, 0.0): -0.0 becomes 0.0.
+        remaining[l] = 0.0 if new <= 0.0 else new
+
+
+def _water_fill_scalar(
+    caps: Sequence[float],
+    paths: List[Tuple[int, ...]],
+    fcaps: List[float],
+    weights: List[float],
+) -> List[float]:
+    """Scalar twin of :func:`_water_fill` for small components.
+
+    ``paths`` holds each column's global link ids and ``caps`` the finite
+    capacities by global link id (Python floats). Each round performs the
+    numpy core's double operations on the same operands — per-link
+    ``remaining / counts``, the per-column min share, the cap test against
+    ``share * slack``, the bottleneck test against ``min * slack`` — and
+    drains through :func:`_exact_drain_scalar`, so rates are bit-identical
+    (module docstring). Only the links and columns still in play are
+    visited, so a round costs a few microseconds rather than a few dozen
+    numpy calls.
+    """
+    remaining: Dict[int, float] = {}
+    counts: Dict[int, float] = {}
+    for path, w in zip(paths, weights):
+        for l in path:
+            if l in counts:
+                counts[l] += w
+            else:
+                counts[l] = w
+                remaining[l] = caps[l]
+    ncols = len(paths)
+    rates = [0.0] * ncols
+    unfixed = range(ncols)
+    slack = 1 + _REL_EPS
+    for _ in range(ncols):
+        shares = {
+            c: min([remaining[l] / counts[l] for l in paths[c]]) for c in unfixed
+        }
+        fixed = [c for c in unfixed if fcaps[c] <= shares[c] * slack]
+        if fixed:
+            for c in fixed:
+                rates[c] = fcaps[c]
+        else:
+            lim = min(shares.values()) * slack
+            fixed = [c for c in unfixed if shares[c] <= lim]
+            for c in fixed:
+                rates[c] = shares[c]
+        if len(fixed) == len(shares):
+            return rates
+        done = set(fixed)
+        unfixed = [c for c in unfixed if c not in done]
+        _exact_drain_scalar(remaining, counts, fixed, rates, weights, paths)
+    raise RuntimeError("progressive filling failed to converge")  # pragma: no cover
+
+
 def _solve_paths(
     caps: np.ndarray,
-    paths: List[np.ndarray],
-    lens: np.ndarray,
+    paths: List[Tuple[int, ...]],
     fcaps: np.ndarray,
     weights: np.ndarray,
 ) -> np.ndarray:
     """Water-fill columns with non-empty link-id ``paths`` over ``caps``."""
-    cat = np.concatenate(paths)
+    lens = np.fromiter(map(len, paths), dtype=np.intp, count=len(paths))
+    cat = np.fromiter(chain.from_iterable(paths), dtype=np.intp,
+                      count=int(lens.sum()))
     # Local link ids in ascending global order, by a prefix sum over a
     # bitmap of the links used: O(links + entries), no sort.
     used = np.zeros(caps.shape[0], dtype=np.intp)
@@ -288,16 +424,18 @@ def max_min_rates(
     if nflows == 0:
         return rates
     # A link listed twice on one path is crossed once.
-    paths = [np.array(list(dict.fromkeys(p)), dtype=np.intp) for p in flow_links]
-    lens = np.fromiter(map(len, paths), dtype=np.intp, count=nflows)
-    pathless = lens == 0
+    paths = [tuple(dict.fromkeys(p)) for p in flow_links]
+    pathless = np.fromiter(map(len, paths), dtype=np.intp, count=nflows) == 0
     if np.any(pathless & ~np.isfinite(fcaps)):
         raise ValueError("a flow with an empty path must have a finite cap")
     rates[pathless] = fcaps[pathless]
     on = np.flatnonzero(~pathless)
-    if on.size:
-        rates[on] = _solve_paths(caps, [paths[f] for f in on.tolist()],
-                                 lens[on], fcaps[on], weights[on])
+    on_paths = [paths[f] for f in on.tolist()]
+    if on.size > SCALAR_MAX_COLS:
+        rates[on] = _solve_paths(caps, on_paths, fcaps[on], weights[on])
+    elif on.size:
+        rates[on] = _water_fill_scalar(caps.tolist(), on_paths,
+                                       fcaps[on].tolist(), weights[on].tolist())
     return rates
 
 
@@ -349,24 +487,24 @@ class FairshareState:
     _REBUILD_REMOVALS = 512
 
     def __init__(self, link_caps: Sequence[float] = (), capacity: int = 64) -> None:
-        caps = np.array(link_caps, dtype=float)
-        if np.any(caps <= 0):
-            raise ValueError("link capacities must be positive")
-        self._caps = caps
-        self._nlinks = caps.shape[0]
+        self._caps = np.zeros(0)
+        #: ``_caps`` as Python floats, for the scalar core.
+        self._caps_list: List[float] = []
+        #: The read-only array ``_caps`` was last adopted from.
+        self._caps_src: Optional[np.ndarray] = None
+        self._nlinks = 0
         cap = max(int(capacity), 1)
         self._fcaps = np.zeros(cap)
         self._rates = np.zeros(cap)
         self._weights = np.zeros(cap)
-        self._lens = np.zeros(cap, dtype=np.intp)
         self._active = np.zeros(cap, dtype=bool)
-        self._paths: List[Optional[np.ndarray]] = [None] * cap
+        self._paths: List[Optional[Tuple[int, ...]]] = [None] * cap
         # Popped back-first so fresh columns are handed out in index order.
         self._free: List[int] = list(range(cap - 1, -1, -1))
         self.nactive = 0
         # Union-find over link ids; a component's id is its root link.
-        self._parent: List[int] = list(range(self._nlinks))
-        self._size: List[int] = [1] * self._nlinks
+        self._parent: List[int] = []
+        self._size: List[int] = []
         #: root link id -> set of active columns in that component.
         self._comp_cols: Dict[int, Set[int]] = {}
         #: root link id -> total member weight of its columns.
@@ -381,6 +519,7 @@ class FairshareState:
         self.solved_rows = 0
         self.single_flow_solves = 0
         self.weight_changes = 0
+        self.set_link_caps(link_caps)
 
     # -- union-find -----------------------------------------------------------
 
@@ -428,7 +567,7 @@ class FairshareState:
         old = self._fcaps.shape[0]
         new = max(2 * old, 1)
         PROFILE.count("fairshare.matrix_growths")
-        for name in ("_fcaps", "_rates", "_weights", "_lens", "_active"):
+        for name in ("_fcaps", "_rates", "_weights", "_active"):
             arr = getattr(self, name)
             grown = np.zeros(new, dtype=arr.dtype)
             grown[:old] = arr
@@ -447,24 +586,34 @@ class FairshareState:
         Called by the engine before every solve, so ``Link.set_rate``
         changes are picked up at the next event with no further plumbing —
         but only the components containing a changed link re-solve.
+
+        A read-only ndarray is trusted never to change: passing the same
+        object again returns at once. ``Network.link_capacities`` hands
+        out one such array until a link's rate changes, so the engine's
+        per-event call costs an identity test. Any other input is
+        compared element by element with the adopted copy.
         """
+        if link_caps is self._caps_src:
+            return
         caps = np.asarray(link_caps, dtype=float)
-        if caps.shape[0] > self._nlinks:
-            self._grow_links(caps.shape[0])
-        elif caps.shape[0] < self._nlinks:
+        if caps.shape[0] < self._nlinks:
             raise ValueError("links cannot be removed from a FairshareState")
         old = self._caps
-        if old.shape[0] == caps.shape[0] and np.array_equal(caps, old):
-            return
-        if np.any(caps <= 0):
-            raise ValueError("link capacities must be positive")
-        changed = np.flatnonzero(caps[: old.shape[0]] != old).tolist()
-        changed.extend(range(old.shape[0], caps.shape[0]))
-        for l in changed:
-            root = self._find(l)
-            if self._comp_cols.get(root):
-                self._dirty.add(root)
-        self._caps = caps.copy()
+        if old.shape[0] != caps.shape[0] or not np.array_equal(caps, old):
+            if np.any(caps <= 0):
+                raise ValueError("link capacities must be positive")
+            if caps.shape[0] > self._nlinks:
+                self._grow_links(caps.shape[0])
+            changed = np.flatnonzero(caps[: old.shape[0]] != old).tolist()
+            changed.extend(range(old.shape[0], caps.shape[0]))
+            for l in changed:
+                root = self._find(l)
+                if self._comp_cols.get(root):
+                    self._dirty.add(root)
+            self._caps = caps.copy()
+            self._caps_list = self._caps.tolist()
+        readonly = isinstance(link_caps, np.ndarray) and not link_caps.flags.writeable
+        self._caps_src = link_caps if readonly else None
 
     # -- flow membership --------------------------------------------------------
 
@@ -481,7 +630,7 @@ class FairshareState:
         if weight < 1 or weight != int(weight):
             raise ValueError("flow weight must be a positive integer")
         weight = int(weight)
-        path = list(dict.fromkeys(path))  # a link listed twice is crossed once
+        path = tuple(dict.fromkeys(path))  # a link listed twice is crossed once
         if not path and not np.isfinite(fcap):
             raise ValueError("a flow with an empty path must have a finite cap")
         if path:
@@ -499,10 +648,9 @@ class FairshareState:
         self._fcaps[col] = fcap
         self._rates[col] = 0.0
         self._weights[col] = float(weight)
-        self._lens[col] = len(path)
         self._active[col] = True
         self.nactive += 1
-        self._paths[col] = np.array(path, dtype=np.intp)
+        self._paths[col] = path
         if path:
             self._dirty.add(self._join(path, col, weight))
         else:
@@ -523,10 +671,9 @@ class FairshareState:
         self._rates[col] = 0.0
         self._fcaps[col] = 0.0
         self._weights[col] = 0.0
-        self._lens[col] = 0
         self.nactive -= 1
-        if path.size:
-            root = self._find(int(path[0]))
+        if path:
+            root = self._find(path[0])
             cols = self._comp_cols.get(root)
             if cols is not None:
                 cols.discard(col)
@@ -561,8 +708,8 @@ class FairshareState:
         if weight == old:
             return
         path = self._paths[col]
-        root = self._find(int(path[0])) if path.size else None
-        total = self._comp_weight[root] if path.size else old
+        root = self._find(path[0]) if path else None
+        total = self._comp_weight[root] if path else old
         if total - old + weight >= WEIGHT_LIMIT:
             raise ValueError(f"component weight must stay below {WEIGHT_LIMIT}")
         self._weights[col] = float(weight)
@@ -601,11 +748,22 @@ class FairshareState:
         self._dirty = set()
         for col in np.flatnonzero(self._active).tolist():
             path = self._paths[col]
-            if path.size:
-                self._join(path.tolist(), col, int(self._weights[col]))
+            if path:
+                self._join(path, col, int(self._weights[col]))
         for col in dirty_cols:
-            self._dirty.add(self._find(int(self._paths[col][0])))
+            self._dirty.add(self._find(self._paths[col][0]))
         self._removals = 0
+
+    def _count_solve(self, ncols: int) -> None:
+        """Count a solve of a component with ``ncols`` live columns."""
+        if ncols == 1:
+            self.single_flow_solves += 1
+            PROFILE.count("fairshare.single_flow_solves")
+        else:
+            self.solves += 1
+            self.solved_rows += ncols
+            PROFILE.count("fairshare.solves")
+            PROFILE.count("fairshare.solved_rows", ncols)
 
     def solve(self) -> Tuple[np.ndarray, np.ndarray]:
         """Re-solve dirty components.
@@ -615,67 +773,53 @@ class FairshareState:
         via :attr:`rates` / :meth:`rate_of`). Untouched components keep
         their rates and do not appear.
         """
-        moved_cols: List[np.ndarray] = []
-        moved_old: List[np.ndarray] = []
+        moved_cols: List[int] = []
+        moved_old: List[float] = []
         if self._fresh:
-            fresh = np.asarray(self._fresh, dtype=np.intp)
+            moved_cols += self._fresh
+            moved_old += self._rates[self._fresh].tolist()
+            self._rates[self._fresh] = self._fcaps[self._fresh]
             self._fresh = []
-            moved_cols.append(fresh)
-            moved_old.append(self._rates[fresh].copy())
-            self._rates[fresh] = self._fcaps[fresh]
         if self._removals >= self._REBUILD_REMOVALS:
             self._rebuild_partition()
+        weights, fcaps, rates, paths = (self._weights, self._fcaps,
+                                        self._rates, self._paths)
         for root in sorted(self._dirty):
             cols_set = self._comp_cols.get(root)
             if not cols_set:
                 continue
             # Weight-0 (parked) class columns keep the component glued but
             # take no bandwidth; the solver never sees them.
-            comp_cols = np.fromiter(cols_set, dtype=np.intp,
-                                    count=len(cols_set))
-            live_cols = comp_cols[self._weights[comp_cols] > 0.0]
-            if not live_cols.size:
-                continue
-            if live_cols.size == 1:
-                # Single-column component: water-filling reduces to one
-                # round. counts are ``w`` on every link of the path, so the
-                # column's share is min(caps over path) / w — division by a
-                # constant is weakly monotone, so the min commutes with it
-                # and this produces the same bits as the general solver.
-                c = int(live_cols[0])
-                m = self._caps[self._paths[c]].min()
-                w = self._weights[c]
-                if w != 1.0:
-                    m = m / w
-                fcap = self._fcaps[c]
-                rate = fcap if fcap <= m * (1 + _REL_EPS) else min(m, fcap)
-                self.single_flow_solves += 1
-                PROFILE.count("fairshare.single_flow_solves")
-                if rate != self._rates[c]:
-                    moved = np.asarray([c], dtype=np.intp)
-                    moved_cols.append(moved)
-                    moved_old.append(self._rates[moved].copy())
-                    self._rates[c] = rate
-                continue
-            cols = np.sort(live_cols)
-            self.solves += 1
-            self.solved_rows += int(cols.shape[0])
-            PROFILE.count("fairshare.solves")
-            PROFILE.count("fairshare.solved_rows", cols.shape[0])
-            paths = [self._paths[c] for c in cols.tolist()]
-            rates = _solve_paths(self._caps, paths, self._lens[cols],
-                                 self._fcaps[cols], self._weights[cols])
-            diff = rates != self._rates[cols]
-            if diff.any():
-                moved = cols[diff]
-                moved_cols.append(moved)
-                moved_old.append(self._rates[moved].copy())
-                self._rates[moved] = rates[diff]
+            if len(cols_set) <= SCALAR_MAX_COLS:
+                cols = [c for c in sorted(cols_set) if weights[c]]
+                if not cols:
+                    continue
+                self._count_solve(len(cols))
+                new = _water_fill_scalar(
+                    self._caps_list, [paths[c] for c in cols],
+                    [float(fcaps[c]) for c in cols],
+                    [float(weights[c]) for c in cols])
+                for c, r in zip(cols, new):
+                    if r != rates[c]:
+                        moved_cols.append(c)
+                        moved_old.append(float(rates[c]))
+                        rates[c] = r
+            else:
+                live = np.fromiter(cols_set, dtype=np.intp, count=len(cols_set))
+                live = np.sort(live[weights[live] > 0.0])
+                if not live.size:
+                    continue
+                self._count_solve(live.size)
+                new = _solve_paths(self._caps, [paths[c] for c in live.tolist()],
+                                   fcaps[live], weights[live])
+                diff = new != rates[live]
+                moved = live[diff]
+                moved_cols += moved.tolist()
+                moved_old += rates[moved].tolist()
+                rates[moved] = new[diff]
         self._dirty.clear()
-        if not moved_cols:
-            empty = np.empty(0)
-            return empty.astype(np.intp), empty
-        return np.concatenate(moved_cols), np.concatenate(moved_old)
+        return (np.array(moved_cols, dtype=np.intp),
+                np.array(moved_old, dtype=float))
 
     # -- diagnostics ------------------------------------------------------------
 
@@ -693,7 +837,7 @@ class FairshareState:
         terms: Dict[int, List[float]] = {}
         for col in np.flatnonzero(self._weights).tolist():
             pe = _two_product(float(self._weights[col]), float(self._rates[col]))
-            for l in self._paths[col].tolist():
+            for l in self._paths[col]:
                 terms.setdefault(l, []).extend(pe)
         usage = np.zeros(self._nlinks)
         for l, t in terms.items():

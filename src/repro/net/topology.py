@@ -48,6 +48,8 @@ class Network:
         self.links: List[Link] = []
         self._adj: Dict[str, List[Link]] = {}
         self._path_cache: Dict[Tuple[str, str], List[Link]] = {}
+        #: source -> shortest-path tree (node -> link it is reached by).
+        self._tree_cache: Dict[str, Dict[str, Link]] = {}
         self._pathids_cache: Dict[Tuple[str, str], Tuple[int, ...]] = {}
         self._delay_cache: Dict[Tuple[str, str], float] = {}
         self._bneck_cache: Dict[Tuple[str, str], float] = {}
@@ -89,6 +91,7 @@ class Network:
             back = Link(b, a, rate_back if rate_back is not None else rate, delay, efficiency)
             self._register(back)
         self._path_cache.clear()
+        self._tree_cache.clear()
         self._pathids_cache.clear()
         self._delay_cache.clear()
         self._bneck_cache.clear()
@@ -138,25 +141,9 @@ class Network:
         if cached is not None:
             return cached
         self.node(src), self.node(dst)
-        # Dijkstra by (delay, hops).
-        dist: Dict[str, Tuple[float, int]] = {src: (0.0, 0)}
-        prev: Dict[str, Link] = {}
-        heap: List[Tuple[float, int, str]] = [(0.0, 0, src)]
-        visited: set[str] = set()
-        while heap:
-            d, h, u = heapq.heappop(heap)
-            if u in visited:
-                continue
-            visited.add(u)
-            if u == dst:
-                break
-            for link in self._adj[u]:
-                v = link.dst
-                nd, nh = d + link.delay, h + 1
-                if v not in dist or (nd, nh) < dist[v]:
-                    dist[v] = (nd, nh)
-                    prev[v] = link
-                    heapq.heappush(heap, (nd, nh, v))
+        prev = self._tree_cache.get(src)
+        if prev is None:
+            prev = self._tree_cache[src] = self._shortest_path_tree(src)
         if dst not in prev:
             raise RoutingError(f"no route {src!r} -> {dst!r}")
         links: List[Link] = []
@@ -168,6 +155,32 @@ class Network:
         links.reverse()
         self._path_cache[key] = links
         return links
+
+    def _shortest_path_tree(self, src: str) -> Dict[str, Link]:
+        """Dijkstra by ``(delay, hops)`` from ``src`` to every node.
+
+        Returns, per reachable node, the link its shortest path ends with.
+        A node's entry is final once it is popped: delays are non-negative
+        and hops grow, so no later pop relaxes it strictly. The tree thus
+        holds the same path a search stopping at that node would find.
+        """
+        dist: Dict[str, Tuple[float, int]] = {src: (0.0, 0)}
+        prev: Dict[str, Link] = {}
+        heap: List[Tuple[float, int, str]] = [(0.0, 0, src)]
+        visited: set[str] = set()
+        while heap:
+            d, h, u = heapq.heappop(heap)
+            if u in visited:
+                continue
+            visited.add(u)
+            for link in self._adj[u]:
+                v = link.dst
+                nd, nh = d + link.delay, h + 1
+                if v not in dist or (nd, nh) < dist[v]:
+                    dist[v] = (nd, nh)
+                    prev[v] = link
+                    heapq.heappush(heap, (nd, nh, v))
+        return prev
 
     def path_ids(self, src: str, dst: str) -> Tuple[int, ...]:
         """Link indices of the routed path (cached; for the flow engine)."""
@@ -215,11 +228,13 @@ class Network:
         Cached (invalidated by ``add_link``/``set_rate``): the flow engine
         reads this before every solve, and handing back the same ndarray
         lets ``FairshareState.set_link_caps`` early-out on identity. The
-        array is shared — treat it as read-only.
+        array is shared and marked read-only; a change to any link's rate
+        makes a new one.
         """
         caps = self._caps_cache
         if caps is None:
             caps = self._caps_cache = np.asarray(
                 [link.usable_rate for link in self.links], dtype=float
             )
+            caps.flags.writeable = False
         return caps

@@ -33,7 +33,7 @@ Counter namespaces in use:
 * ``fairshare.solves`` / ``fairshare.solved_rows`` — per-component
   water-filling solves and the flow rows they touched;
 * ``fairshare.single_flow_solves`` — dirty components of exactly one
-  flow resolved by the closed-form shortcut (no matrix work);
+  live column (not counted in ``fairshare.solves``);
 * ``fairshare.matrix_growths`` / ``fairshare.partition_rebuilds`` —
   incidence-state maintenance events;
 * ``nsd.coalesced_rpcs`` / ``nsd.coalesced_blocks`` — scatter-gather

@@ -81,6 +81,30 @@ class TestLifecycle:
         with pytest.raises(ValueError):
             FairshareState([-1.0])
 
+    def test_rejected_caps_leave_state_unchanged(self):
+        st = FairshareState([100.0])
+        with pytest.raises(ValueError):
+            st.set_link_caps([100.0, -1.0])
+        st.set_link_caps([100.0])  # the rejected vector added no link
+        col = st.add_flow([0], INF)
+        st.solve()
+        assert st.rate_of(col) == 100.0
+
+    def test_read_only_caps_adopted_by_identity(self):
+        caps = np.array([100.0, 60.0])
+        caps.flags.writeable = False
+        st = FairshareState(caps)
+        col = st.add_flow([0, 1], INF)
+        st.solve()
+        st.set_link_caps(caps)  # same object: nothing to compare or dirty
+        assert st.solve()[0].size == 0
+        writable = np.array([100.0, 30.0])
+        st.set_link_caps(writable)
+        writable[1] = 20.0  # a writable input is compared on every call
+        st.set_link_caps(writable)
+        st.solve()
+        assert st.rate_of(col) == 20.0
+
 
 class TestPathless:
     def test_rated_at_cap_on_next_solve(self):

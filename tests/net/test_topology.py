@@ -1,9 +1,14 @@
 """Tests for Network topology and routing."""
 
+import heapq
+
 import pytest
 
 from repro.net import Link, Network
 from repro.net.topology import RoutingError
+from repro.topology.sc04 import build_sc04
+from repro.topology.sdsc2005 import build_sdsc2005
+from repro.topology.teragrid import TERAGRID_SITES, add_teragrid_backbone
 from repro.util.units import Gbps
 
 
@@ -92,6 +97,17 @@ class TestConstruction:
         for link in net.links:
             assert caps[link.index] == link.usable_rate
 
+    def test_link_capacities_cached_read_only(self):
+        net = triangle()
+        caps = net.link_capacities()
+        assert net.link_capacities() is caps
+        with pytest.raises(ValueError):
+            caps[0] = 1.0
+        net.links[0].set_rate(Gbps(5))
+        fresh = net.link_capacities()
+        assert fresh is not caps
+        assert fresh[0] == net.links[0].usable_rate
+
 
 class TestRouting:
     def test_routes_by_delay(self):
@@ -135,3 +151,66 @@ class TestRouting:
         net.add_link("y", "z", Gbps(1), efficiency=1.0)
         assert net.bottleneck_rate("x", "z") == pytest.approx(Gbps(1))
         assert net.bottleneck_rate("x", "x") == float("inf")
+
+
+def _early_exit_path(net: Network, src: str, dst: str):
+    """Dijkstra by (delay, hops) that stops when ``dst`` is popped."""
+    dist = {src: (0.0, 0)}
+    prev = {}
+    heap = [(0.0, 0, src)]
+    visited = set()
+    while heap:
+        d, h, u = heapq.heappop(heap)
+        if u in visited:
+            continue
+        visited.add(u)
+        if u == dst:
+            break
+        for link in net._adj[u]:
+            v = link.dst
+            nd, nh = d + link.delay, h + 1
+            if v not in dist or (nd, nh) < dist[v]:
+                dist[v] = (nd, nh)
+                prev[v] = link
+                heapq.heappush(heap, (nd, nh, v))
+    if dst not in prev:
+        return None
+    links = []
+    cur = dst
+    while cur != src:
+        links.append(prev[cur])
+        cur = prev[cur].src
+    return links[::-1]
+
+
+def _teragrid_mesh() -> Network:
+    net = Network()
+    add_teragrid_backbone(net)
+    for site in TERAGRID_SITES:
+        for h in range(3):
+            net.add_host(f"{site}-h{h}", f"{site}-sw", Gbps(10), site=site)
+    return net
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_sc04(nsd_servers=9, sdsc_clients=4, ncsa_clients=4,
+                       arrays=3, with_disks=False).gfs.network,
+    lambda: build_sdsc2005(nsd_servers=8, ds4100_count=2, sdsc_clients=4,
+                           anl_clients=3, ncsa_clients=2,
+                           with_disks=False).gfs.network,
+    _teragrid_mesh,
+], ids=["sc04", "sdsc2005", "teragrid"])
+def test_tree_paths_match_early_exit_search(build):
+    """One full search per source routes every pair as a search per pair."""
+    net = build()
+    names = sorted(net.nodes)
+    for src in names:
+        for dst in names:
+            if src == dst:
+                continue
+            want = _early_exit_path(net, src, dst)
+            if want is None:
+                with pytest.raises(RoutingError):
+                    net.path(src, dst)
+            else:
+                assert net.path(src, dst) == want

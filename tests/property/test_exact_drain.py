@@ -7,7 +7,8 @@ docstring): per link the result is the exactly rounded value of
 member weight ``K < 2**26`` on a link and any number of distinct rates.
 The oracle sums expanded per-member terms with ``math.fsum``; a weight too
 large to expand one term per member is expanded one exact ``r * 2**b``
-term per set bit, which is the same real.
+term per set bit, which is the same real. The scalar core's drain,
+``fairshare._exact_drain_scalar``, is held to the same oracle.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from repro.net.fairshare import (
     WEIGHT_LIMIT,
     FairshareState,
     _exact_drain,
+    _exact_drain_scalar,
     _two_product,
     max_min_rates,
 )
@@ -54,6 +56,22 @@ def _csc(columns):
         flows_cat.extend([c] * len(path))
         links_cat.extend(path)
     return np.array(flows_cat, dtype=np.intp), np.array(links_cat, dtype=np.intp)
+
+
+def _scalar_drain(remaining, columns, fixed):
+    """Run ``_exact_drain_scalar``; return (remaining, counts) by link."""
+    paths = [tuple(p) for p, _, _ in columns]
+    weights = [float(w) for _, w, _ in columns]
+    rates = [r for _, _, r in columns]
+    rem = {l: float(x) for l, x in enumerate(remaining)}
+    counts = {l: 0.0 for l in rem}
+    for path, w in zip(paths, weights):
+        for l in path:
+            counts[l] += w
+    _exact_drain_scalar(rem, counts, [c for c, f in enumerate(fixed) if f],
+                        rates, weights, paths)
+    return (np.array([rem[l] for l in sorted(rem)]),
+            np.array([counts[l] for l in sorted(counts)]))
 
 
 NLINKS = 5
@@ -102,6 +120,9 @@ def test_drain_is_exactly_rounded(case):
     _exact_drain(got, counts, mask, rates, weights, flows_cat, links_cat)
     assert got.tobytes() == _oracle(remaining, columns, fixed).tobytes()
     assert counts.tobytes() == want_counts.tobytes()
+    scalar, scalar_counts = _scalar_drain(remaining, columns, fixed)
+    assert scalar.tobytes() == got.tobytes()
+    assert scalar_counts.tobytes() == want_counts.tobytes()
 
 
 def test_drain_cases_cover_the_hard_paths():
@@ -125,6 +146,9 @@ def test_drain_cases_cover_the_hard_paths():
     assert got.tobytes() == want.tobytes()
     assert got[2] == 0.0  # clamped: 7e8 drained from 1e8
     assert counts.tolist() == [0.0, 0.0, 0.0]
+    scalar, scalar_counts = _scalar_drain(remaining, columns, fixed)
+    assert scalar.tobytes() == want.tobytes()
+    assert scalar_counts.tolist() == [0.0, 0.0, 0.0]
 
 
 def test_component_weight_limit():

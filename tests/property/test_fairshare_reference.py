@@ -9,19 +9,25 @@ the reported ``(cols, old_rates)`` must match byte for byte.
 Mixed per-flow caps make capped rounds fix columns at several distinct
 rates at once, which exercises the drain's multi-rate path;
 :func:`test_churn_exercises_multi_rate_drains` checks that it does.
+
+Components of at most ``fairshare.SCALAR_MAX_COLS`` registered columns are
+solved by the scalar core, larger ones by the numpy core. The churn runs
+with the constant as shipped and with it moved to pin either core, and
+one case grows a component across the constant mid-run.
 """
 
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 
-import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.net import fairshare
 from repro.net.fairshare import FairshareState
 from tests.property import _reference_fairshare as ref
+from tests.property._drain_count import count_drains
 
 NLINKS = 6
 FCAPS = [1e5, 2.5e6, 3.7e7, 1e8, 2.5e8, 6e8, 1e9, float("inf")]
@@ -40,6 +46,24 @@ op_st = st.one_of(
               st.floats(1e7, 4e9)),
     st.tuples(st.just("solve")),
 )
+
+caps_st = st.lists(st.one_of(st.sampled_from(LINK_CAPS), st.floats(1e7, 4e9)),
+                   min_size=NLINKS, max_size=NLINKS)
+ops_st = st.lists(op_st, min_size=1, max_size=60)
+
+
+@contextmanager
+def _core(max_cols: int):
+    """Move the core constant: 0 pins numpy, a huge value pins scalar."""
+    saved = fairshare.SCALAR_MAX_COLS
+    fairshare.SCALAR_MAX_COLS = max_cols
+    try:
+        yield
+    finally:
+        fairshare.SCALAR_MAX_COLS = saved
+
+
+NUMPY_ONLY, SCALAR_ONLY = 0, 1 << 30
 
 
 def _replay(ops, caps):
@@ -82,13 +106,38 @@ def _replay(ops, caps):
     check()
 
 
-@settings(max_examples=200, deadline=None,
+@settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(caps=st.lists(st.one_of(st.sampled_from(LINK_CAPS), st.floats(1e7, 4e9)),
-                     min_size=NLINKS, max_size=NLINKS),
-       ops=st.lists(op_st, min_size=1, max_size=60))
-def test_churn_matches_frozen_dense_solver(caps, ops):
-    _replay(ops, caps)
+@given(caps=caps_st, ops=ops_st,
+       core=st.sampled_from((fairshare.SCALAR_MAX_COLS, NUMPY_ONLY, SCALAR_ONLY)))
+def test_churn_matches_frozen_dense_solver(caps, ops, core):
+    with _core(core):
+        _replay(ops, caps)
+
+
+def test_churn_crosses_core_constant_mid_run(monkeypatch):
+    """One component grows past SCALAR_MAX_COLS, then shrinks below it."""
+    used = {"numpy": 0, "scalar": 0}
+    for name, key in (("_water_fill", "numpy"), ("_water_fill_scalar", "scalar")):
+        def counting(*args, _fn=getattr(fairshare, name), _key=key):
+            used[_key] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(fairshare, name, counting)
+    rng = random.Random(13)
+    peak = 2 * fairshare.SCALAR_MAX_COLS + 8
+    ops = []
+    # Every path crosses link 0, so all columns share one component.
+    for _ in range(peak):
+        path = [0] + rng.sample(range(1, NLINKS), rng.randint(0, 3))
+        ops += [("add", path, rng.choice(FCAPS), rng.randint(1, 40)), ("solve",)]
+        if rng.random() < 0.2:
+            ops.append(("weight", rng.randrange(64), rng.randint(0, 40)))
+    for _ in range(peak):
+        ops += [("remove", rng.randrange(64)), ("solve",)]
+    _replay(ops, [rng.choice(LINK_CAPS) for _ in range(NLINKS)])
+    assert used["numpy"] > 10
+    assert used["scalar"] > 10
 
 
 def _random_ops(rng: random.Random, n: int):
@@ -109,20 +158,26 @@ def _random_ops(rng: random.Random, n: int):
     return ops
 
 
-def test_churn_exercises_multi_rate_drains(monkeypatch):
-    """The churn mix really fixes columns at two or more rates per round."""
-    seen = {"drains": 0, "multi": 0}
-    drain = fairshare._exact_drain
-
-    def counting(remaining, counts, fixed, rates, *rest):
-        seen["drains"] += 1
-        seen["multi"] += np.unique(rates[fixed]).size > 1
-        return drain(remaining, counts, fixed, rates, *rest)
-
-    monkeypatch.setattr(fairshare, "_exact_drain", counting)
+def _churn_drains(monkeypatch, max_cols: int, drain: str) -> dict:
+    """Seeded churn on one core, counting that core's drains."""
+    monkeypatch.setattr(fairshare, "SCALAR_MAX_COLS", max_cols)
+    seen = count_drains(monkeypatch, drain)
     rng = random.Random(20051112)
     for _ in range(40):
         _replay(_random_ops(rng, 80), [rng.choice(LINK_CAPS)
                                        for _ in range(NLINKS)])
+    return seen
+
+
+def test_churn_exercises_multi_rate_drains(monkeypatch):
+    """The churn mix really fixes columns at two or more rates per round."""
+    seen = _churn_drains(monkeypatch, NUMPY_ONLY, "_exact_drain")
+    assert seen["drains"] > 100
+    assert seen["multi"] > 10
+
+
+def test_churn_exercises_multi_rate_drains_scalar_core(monkeypatch):
+    """The scalar core's drain sees the multi-rate rounds too."""
+    seen = _churn_drains(monkeypatch, SCALAR_ONLY, "_exact_drain_scalar")
     assert seen["drains"] > 100
     assert seen["multi"] > 10
